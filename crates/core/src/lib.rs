@@ -18,7 +18,9 @@
 //! Naive quadratic reference kernels ([`born::exact`], [`energy::exact`])
 //! are included for error measurement (the paper's "Naïve" rows), plus the
 //! pairwise-descreening Born radii (HCT/OBC/Still) used by the baseline
-//! packages, and rayon-parallel drivers (the paper's `OCT_CILK`).
+//! packages, and the shared-memory parallel solve (the paper's `OCT_CILK`)
+//! on `polar-runtime`'s work-stealing pool. [`exec`] is the one stage
+//! executor every solve path runs through.
 //!
 //! # Quick start
 //!
@@ -36,6 +38,7 @@ pub mod batch;
 pub mod born;
 pub mod constants;
 pub mod energy;
+pub mod exec;
 pub mod induction;
 pub mod kernels;
 pub mod metrics;

@@ -315,14 +315,9 @@ fn energy_at(
 ) -> Result<f64, GradientError> {
     move_to(solver, plan, p, cfg, pos, counters)?;
     let t0 = std::time::Instant::now();
-    let e = if cfg.n_workers > 1 {
-        solver
-            .solve_with_plan_parallel_report(plan, p, cfg.n_workers)?
-            .0
-            .epol_kcal
-    } else {
-        solver.solve_with_plan(plan, p)?.epol_kcal
-    };
+    let e = solver
+        .solve_with_plan_workers(plan, p, cfg.n_workers)?
+        .epol_kcal;
     counters.energy_evals += 1;
     counters.energy_seconds += t0.elapsed().as_secs_f64();
     Ok(e)
@@ -335,13 +330,7 @@ fn eval_gradient(
     p: &GbParams,
     cfg: &MinimizeConfig,
 ) -> Result<GradResult, GradientError> {
-    if cfg.n_workers > 1 {
-        Ok(solver
-            .gradient_with_plan_parallel_report(plan, p, cfg.n_workers)?
-            .0)
-    } else {
-        solver.gradient_with_plan(plan, p)
-    }
+    Ok(solver.gradient_exec(plan, p, cfg.n_workers)?.0)
 }
 
 fn dot(a: &[Vec3], b: &[Vec3]) -> f64 {

@@ -2,31 +2,28 @@
 //!
 //! [`GbSolver`] owns the two octrees and the quadrature points; its
 //! methods implement the serial reference and the shared-memory parallel
-//! variant (the paper's `OCT_CILK`, here on rayon's work-stealing pool —
-//! the same randomized-stealing discipline as cilk++). The distributed
-//! drivers in `polar-mpi` and the cluster simulator in `polar-cluster`
-//! call the segment-level entry points re-exported from [`crate::born`]
-//! and [`crate::energy`].
+//! variant (the paper's `OCT_CILK`, here on `polar-runtime`'s
+//! work-stealing pool — the same randomized-stealing discipline as
+//! cilk++). Every method runs its stages through [`crate::exec`], which
+//! the distributed drivers in `polar-mpi` share; the cluster simulator in
+//! `polar-cluster` replays the per-leaf work profiles below.
 
 use crate::born::exact as born_exact;
-use crate::born::octree::{
-    approx_integrals, push_integrals_to_atoms, push_integrals_to_atoms_slots, BornOctreeCtx,
-    BornPartials, QDipole,
-};
+use crate::born::octree::{BornOctreeCtx, BornPartials, QDipole};
 use crate::constants::tau;
 use crate::energy::exact as energy_exact;
 use crate::energy::gradient::GradientError;
 use crate::energy::octree::{epol_for_leaf_segment, EpolCtx};
+use crate::exec::{StageExec, Traversal};
 use crate::kernels::KernelMode;
-use crate::partition::even_segments;
 use crate::plan::{InteractionPlan, PlanError};
 use crate::report::{SolveReport, StageReport, StealReport, TreeDepthStats};
 use crate::stats::WorkCounts;
 use polar_geom::{MathMode, Vec3};
 use polar_molecule::Molecule;
 use polar_octree::{Octree, OctreeConfig};
+use polar_runtime::StealStats;
 use polar_surface::{QuadPoint, SurfaceConfig};
-use rayon::prelude::*;
 
 /// Tunable solve parameters (paper §V.C uses ε = 0.9 for both stages).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -181,6 +178,15 @@ pub struct FrameDelta {
     pub q: polar_octree::RefreshDelta,
     /// Largest single-point displacement across both trees (Å).
     pub max_disp: f64,
+}
+
+/// Stage wall times and merged scheduler counters of one solve.
+pub(crate) struct SolveTiming {
+    born_s: f64,
+    epol_s: f64,
+    grad_s: f64,
+    /// Counters of every task batch the solve ran, merged per worker.
+    pub(crate) steal: StealStats,
 }
 
 /// The prepared solver: molecule data + both octrees + q-point aggregates.
@@ -374,75 +380,130 @@ impl GbSolver {
     }
 
     // ---------------------------------------------------------------
-    // Serial octree solver
+    // Recursive octree solver (serial and OCT_CILK)
     // ---------------------------------------------------------------
 
     /// Octree-approximated Born radii (serial; all leaf segments).
     pub fn born_radii(&self, p: &GbParams) -> (Vec<f64>, WorkCounts) {
-        let ctx = self.born_ctx();
-        let mut counts = WorkCounts::ZERO;
-        let totals = approx_integrals(&ctx, p.eps_born, 0..self.tree_q.leaves().len(), &mut counts);
+        let exec = StageExec::new(self, p, Traversal::Recursive, 1);
+        let mut totals = BornPartials::zeros(&self.tree_a);
+        let stage = exec.born_integrals(0..self.tree_q.leaves().len(), &mut totals);
         let mut born = vec![0.0; self.n_atoms()];
-        push_integrals_to_atoms(&ctx, &totals, 0..self.n_atoms(), p.math, &mut born);
-        (born, counts)
+        exec.push(&totals, 0..self.n_atoms(), &mut born);
+        (born, stage.work)
     }
 
     /// Octree-approximated E_pol given Born radii (serial).
     pub fn epol(&self, born: &[f64], p: &GbParams) -> (f64, WorkCounts) {
         let ctx = EpolCtx::new(&self.tree_a, &self.charges, born, p.eps_epol);
-        let mut counts = WorkCounts::ZERO;
-        let e = epol_for_leaf_segment(
-            &ctx,
-            p.eps_epol,
-            p.math,
-            tau(p.eps_solvent),
-            0..self.tree_a.leaves().len(),
-            &mut counts,
-        );
-        (e, counts)
+        let exec = StageExec::new(self, p, Traversal::Recursive, 1);
+        let (e, stage) = exec.epol(&ctx, &[], 0..self.tree_a.leaves().len());
+        (e, stage.work)
     }
 
     /// Full serial octree solve.
     pub fn solve(&self, p: &GbParams) -> GbResult {
-        let (born, work_born) = self.born_radii(p);
-        let (epol_kcal, work_epol) = self.epol(&born, p);
-        GbResult {
-            born,
-            epol_kcal,
-            work_born,
-            work_epol,
-        }
+        self.solve_exec(Traversal::Recursive, p, 1, &mut SolveScratch::new())
+            .0
     }
 
     /// Serial solve plus a structured [`SolveReport`] (per-stage wall
     /// time and work, tree shape, memory footprint).
     pub fn solve_with_report(&self, p: &GbParams) -> (GbResult, SolveReport) {
-        let t0 = std::time::Instant::now();
-        let (born, work_born) = self.born_radii(p);
-        let born_s = t0.elapsed().as_secs_f64();
-        let t1 = std::time::Instant::now();
-        let (epol_kcal, work_epol) = self.epol(&born, p);
-        let epol_s = t1.elapsed().as_secs_f64();
-        let result = GbResult {
-            born,
-            epol_kcal,
-            work_born,
-            work_epol,
-        };
-        let report = self.base_report("serial", p, &result, born_s, epol_s);
+        let (result, timing) =
+            self.solve_exec(Traversal::Recursive, p, 1, &mut SolveScratch::new());
+        let report = self.base_report("serial", p, &result, &timing);
         (result, report)
     }
 
+    /// Work-stealing parallel solve (`OCT_CILK` on `polar_runtime`'s
+    /// cilk-style pool) plus a [`SolveReport`] with real per-stage
+    /// [`WorkCounts`] and merged scheduler counters from all three task
+    /// batches (integrals, push, energy).
+    ///
+    /// The stage work totals are schedule-independent: they equal the
+    /// serial solve's exactly, whatever the steal pattern was.
+    pub fn solve_parallel_with_report(
+        &self,
+        p: &GbParams,
+        n_workers: usize,
+    ) -> (GbResult, SolveReport) {
+        let (result, timing) =
+            self.solve_exec(Traversal::Recursive, p, n_workers, &mut SolveScratch::new());
+        let mut report = self.base_report("parallel", p, &result, &timing);
+        report.steal = Some(StealReport::from(&timing.steal));
+        (result, report)
+    }
+
+    /// The one solve pipeline behind every `solve*` method: Born
+    /// integrals over all `T_Q` leaves, push to all atoms, energy over
+    /// all `T_A` leaves, each stage on a [`StageExec`] of `workers`
+    /// workers, with every buffer taken from `scratch`.
+    fn solve_exec(
+        &self,
+        traversal: Traversal<'_>,
+        p: &GbParams,
+        workers: usize,
+        scratch: &mut SolveScratch,
+    ) -> (GbResult, SolveTiming) {
+        let exec = StageExec::new(self, p, traversal, workers);
+        let n = self.n_atoms();
+        let t0 = std::time::Instant::now();
+        let totals = scratch.partials_for(&self.tree_a);
+        let born_stage = exec.born_integrals(0..self.tree_q.leaves().len(), totals);
+        scratch.born.clear();
+        scratch.born.resize(n, 0.0);
+        let mut steal = born_stage.steal;
+        steal.merge(&exec.push(&scratch.partials, 0..n, &mut scratch.born));
+        let born_s = t0.elapsed().as_secs_f64();
+
+        let t1 = std::time::Instant::now();
+        let ectx = EpolCtx::new_reusing(
+            &self.tree_a,
+            &self.charges,
+            &scratch.born,
+            p.eps_epol,
+            std::mem::take(&mut scratch.hist),
+            std::mem::take(&mut scratch.nonzero_bins),
+        );
+        scratch.born_slot.clear();
+        scratch.born_slot.extend(
+            self.tree_a
+                .order()
+                .iter()
+                .map(|&o| scratch.born[o as usize]),
+        );
+        let (epol_kcal, epol_stage) =
+            exec.epol(&ectx, &scratch.born_slot, 0..self.tree_a.leaves().len());
+        (scratch.hist, scratch.nonzero_bins) = ectx.into_buffers();
+        scratch.reuses += 1;
+        steal.merge(&epol_stage.steal);
+        let epol_s = t1.elapsed().as_secs_f64();
+        (
+            GbResult {
+                born: scratch.born.clone(),
+                epol_kcal,
+                work_born: born_stage.work,
+                work_epol: epol_stage.work,
+            },
+            SolveTiming {
+                born_s,
+                epol_s,
+                grad_s: 0.0,
+                steal,
+            },
+        )
+    }
+
     /// Shared skeleton of every report this solver emits: identity,
-    /// stage rows, tree shapes, memory. Callers attach steal/comm
+    /// stage rows, tree shapes, memory. Callers attach steal/plan
     /// sections for their execution mode.
     fn base_report(
         &self,
         mode: &str,
         p: &GbParams,
         result: &GbResult,
-        born_s: f64,
-        epol_s: f64,
+        timing: &SolveTiming,
     ) -> SolveReport {
         SolveReport {
             molecule: self.name.clone(),
@@ -462,12 +523,12 @@ impl GbSolver {
             stages: vec![
                 StageReport {
                     name: "born".into(),
-                    wall_seconds: born_s,
+                    wall_seconds: timing.born_s,
                     work: result.work_born,
                 },
                 StageReport {
                     name: "epol".into(),
-                    wall_seconds: epol_s,
+                    wall_seconds: timing.epol_s,
                     work: result.work_epol,
                 },
             ],
@@ -506,8 +567,7 @@ impl GbSolver {
         plan: &InteractionPlan,
         p: &GbParams,
     ) -> Result<GbResult, PlanError> {
-        let (result, _, _) = self.solve_with_plan_timed(plan, p, &mut SolveScratch::new())?;
-        Ok(result)
+        self.solve_with_plan_workers(plan, p, 1)
     }
 
     /// As [`GbSolver::solve_with_plan`], but working out of a reusable
@@ -521,8 +581,8 @@ impl GbSolver {
         p: &GbParams,
         scratch: &mut SolveScratch,
     ) -> Result<GbResult, PlanError> {
-        let (result, _, _) = self.solve_with_plan_timed(plan, p, scratch)?;
-        Ok(result)
+        plan.check_compatible(self, p)?;
+        Ok(self.solve_exec(Traversal::Plan(plan), p, 1, scratch).0)
     }
 
     /// As [`GbSolver::solve_with_plan`], plus a [`SolveReport`]
@@ -532,87 +592,12 @@ impl GbSolver {
         plan: &InteractionPlan,
         p: &GbParams,
     ) -> Result<(GbResult, SolveReport), PlanError> {
-        let (result, born_s, epol_s) =
-            self.solve_with_plan_timed(plan, p, &mut SolveScratch::new())?;
-        let mut report = self.base_report("plan", p, &result, born_s, epol_s);
+        plan.check_compatible(self, p)?;
+        let (result, timing) =
+            self.solve_exec(Traversal::Plan(plan), p, 1, &mut SolveScratch::new());
+        let mut report = self.base_report("plan", p, &result, &timing);
         report.plan = Some(plan.stats());
         Ok((result, report))
-    }
-
-    fn solve_with_plan_timed(
-        &self,
-        plan: &InteractionPlan,
-        p: &GbParams,
-        scratch: &mut SolveScratch,
-    ) -> Result<(GbResult, f64, f64), PlanError> {
-        plan.check_compatible(self, p)?;
-        let ctx = self.born_ctx();
-        let t0 = std::time::Instant::now();
-        let mut work_born = WorkCounts::ZERO;
-        let totals = scratch.partials_for(&self.tree_a);
-        plan.execute_born_segment(
-            &ctx,
-            0..self.tree_q.leaves().len(),
-            p.kernel,
-            totals,
-            &mut work_born,
-        );
-        let totals = &scratch.partials;
-        scratch.born.clear();
-        scratch.born.resize(self.n_atoms(), 0.0);
-        push_integrals_to_atoms(&ctx, totals, 0..self.n_atoms(), p.math, &mut scratch.born);
-        let born_s = t0.elapsed().as_secs_f64();
-
-        let t1 = std::time::Instant::now();
-        let ectx = EpolCtx::new_reusing(
-            &self.tree_a,
-            &self.charges,
-            &scratch.born,
-            p.eps_epol,
-            std::mem::take(&mut scratch.hist),
-            std::mem::take(&mut scratch.nonzero_bins),
-        );
-        scratch.born_slot.clear();
-        scratch.born_slot.extend(
-            self.tree_a
-                .order()
-                .iter()
-                .map(|&o| scratch.born[o as usize]),
-        );
-        let mut work_epol = WorkCounts::ZERO;
-        let epol_kcal = plan.execute_epol_segment(
-            &ectx,
-            &scratch.born_slot,
-            p.math,
-            p.kernel,
-            tau(p.eps_solvent),
-            0..self.tree_a.leaves().len(),
-            &mut work_epol,
-        );
-        (scratch.hist, scratch.nonzero_bins) = ectx.into_buffers();
-        scratch.reuses += 1;
-        let epol_s = t1.elapsed().as_secs_f64();
-        Ok((
-            GbResult {
-                born: scratch.born.clone(),
-                epol_kcal,
-                work_born,
-                work_epol,
-            },
-            born_s,
-            epol_s,
-        ))
-    }
-
-    /// Permute original-order Born radii into Morton slot order — the
-    /// layout the plan's SoA energy loop streams over.
-    pub fn born_by_slot(&self, born: &[f64]) -> Vec<f64> {
-        assert_eq!(born.len(), self.n_atoms());
-        self.tree_a
-            .order()
-            .iter()
-            .map(|&o| born[o as usize])
-            .collect()
     }
 
     /// Plan-execute solve on the work-stealing pool: the plan's per-leaf
@@ -625,112 +610,41 @@ impl GbSolver {
         n_workers: usize,
     ) -> Result<(GbResult, SolveReport), PlanError> {
         plan.check_compatible(self, p)?;
-        let p = *p;
-        let n_workers = n_workers.max(1);
-        let ctx = self.born_ctx();
-        let ctx = &ctx;
-
-        // Stage 1a: execute Born lists over q-leaf chunks.
-        let t0 = std::time::Instant::now();
-        let n_qleaves = self.tree_q.leaves().len();
-        let chunk = (n_qleaves / (n_workers * 8)).max(1);
-        let tasks: Vec<_> = (0..n_qleaves)
-            .step_by(chunk)
-            .map(|s| {
-                move || {
-                    let mut counts = WorkCounts::ZERO;
-                    let mut part = BornPartials::zeros(ctx.tree_a);
-                    plan.execute_born_segment(
-                        ctx,
-                        s..(s + chunk).min(n_qleaves),
-                        p.kernel,
-                        &mut part,
-                        &mut counts,
-                    );
-                    (part, counts)
-                }
-            })
-            .collect();
-        let (parts, steal_exec) = polar_runtime::run_batch(n_workers, tasks);
-        let mut work_born = WorkCounts::ZERO;
-        let mut totals = BornPartials::zeros(&self.tree_a);
-        for (part, counts) in parts {
-            totals.add(&part);
-            work_born.accumulate(counts);
-        }
-        let totals = &totals;
-
-        // Stage 1b: the push sweep is unchanged — it was never a hot
-        // traversal (one visit per node), so the recursive sweep stays.
-        let segs = even_segments(self.n_atoms(), n_workers * 4);
-        let push_tasks: Vec<_> = segs
-            .iter()
-            .cloned()
-            .map(|r| {
-                move || {
-                    let mut out = vec![0.0; r.len()];
-                    push_integrals_to_atoms_slots(ctx, totals, r.clone(), p.math, &mut out);
-                    out
-                }
-            })
-            .collect();
-        let (pieces, steal_push) = polar_runtime::run_batch(n_workers, push_tasks);
-        let mut born = vec![0.0; self.n_atoms()];
-        for (seg, piece) in segs.iter().zip(&pieces) {
-            for (k, slot) in seg.clone().enumerate() {
-                born[self.tree_a.order()[slot] as usize] = piece[k];
-            }
-        }
-        let born_s = t0.elapsed().as_secs_f64();
-
-        // Stage 2: execute energy lists over T_A leaf chunks.
-        let t1 = std::time::Instant::now();
-        let ectx = EpolCtx::new(&self.tree_a, &self.charges, &born, p.eps_epol);
-        let ectx = &ectx;
-        let born_slot = self.born_by_slot(&born);
-        let born_slot = &born_slot;
-        let esegs = even_segments(self.tree_a.leaves().len(), n_workers * 8);
-        let etasks: Vec<_> = esegs
-            .into_iter()
-            .map(|r| {
-                move || {
-                    let mut counts = WorkCounts::ZERO;
-                    let e = plan.execute_epol_segment(
-                        ectx,
-                        born_slot,
-                        p.math,
-                        p.kernel,
-                        tau(p.eps_solvent),
-                        r,
-                        &mut counts,
-                    );
-                    (e, counts)
-                }
-            })
-            .collect();
-        let (eparts, steal_epol) = polar_runtime::run_batch(n_workers, etasks);
-        let mut work_epol = WorkCounts::ZERO;
-        let mut epol_kcal = 0.0;
-        for (e, counts) in eparts {
-            epol_kcal += e;
-            work_epol.accumulate(counts);
-        }
-        let epol_s = t1.elapsed().as_secs_f64();
-
-        let mut steal = steal_exec;
-        steal.merge(&steal_push);
-        steal.merge(&steal_epol);
-
-        let result = GbResult {
-            born,
-            epol_kcal,
-            work_born,
-            work_epol,
-        };
-        let mut report = self.base_report("plan_parallel", &p, &result, born_s, epol_s);
-        report.steal = Some(StealReport::from(&steal));
+        let (result, timing) = self.solve_exec(
+            Traversal::Plan(plan),
+            p,
+            n_workers,
+            &mut SolveScratch::new(),
+        );
+        let mut report = self.base_report("plan_parallel", p, &result, &timing);
+        report.steal = Some(StealReport::from(&timing.steal));
         report.plan = Some(plan.stats());
         Ok((result, report))
+    }
+
+    /// Plan-execute solve on `workers` workers without a report (one
+    /// worker is the serial path).
+    pub(crate) fn solve_with_plan_workers(
+        &self,
+        plan: &InteractionPlan,
+        p: &GbParams,
+        workers: usize,
+    ) -> Result<GbResult, PlanError> {
+        plan.check_compatible(self, p)?;
+        Ok(self
+            .solve_exec(Traversal::Plan(plan), p, workers, &mut SolveScratch::new())
+            .0)
+    }
+
+    /// Permute original-order Born radii into Morton slot order — the
+    /// layout the plan's SoA energy loop streams over.
+    pub fn born_by_slot(&self, born: &[f64]) -> Vec<f64> {
+        assert_eq!(born.len(), self.n_atoms());
+        self.tree_a
+            .order()
+            .iter()
+            .map(|&o| born[o as usize])
+            .collect()
     }
 
     // ---------------------------------------------------------------
@@ -749,93 +663,7 @@ impl GbSolver {
         plan: &InteractionPlan,
         p: &GbParams,
     ) -> Result<GradResult, GradientError> {
-        let (result, ..) = self.gradient_with_plan_timed(plan, p, &mut SolveScratch::new())?;
-        Ok(result)
-    }
-
-    /// As [`GbSolver::gradient_with_plan`], plus a [`SolveReport`]
-    /// (mode `"plan_gradient"`) with a third `"gradient"` stage row.
-    pub fn gradient_with_plan_report(
-        &self,
-        plan: &InteractionPlan,
-        p: &GbParams,
-    ) -> Result<(GradResult, SolveReport), GradientError> {
-        let (result, born_s, epol_s, grad_s) =
-            self.gradient_with_plan_timed(plan, p, &mut SolveScratch::new())?;
-        let mut report = self.gradient_report("plan_gradient", p, &result, born_s, epol_s, grad_s);
-        report.plan = Some(plan.stats());
-        Ok((result, report))
-    }
-
-    fn gradient_report(
-        &self,
-        mode: &str,
-        p: &GbParams,
-        result: &GradResult,
-        born_s: f64,
-        epol_s: f64,
-        grad_s: f64,
-    ) -> SolveReport {
-        let proxy = GbResult {
-            born: Vec::new(),
-            epol_kcal: result.epol_kcal,
-            work_born: result.work_born,
-            work_epol: result.work_epol,
-        };
-        let mut report = self.base_report(mode, p, &proxy, born_s, epol_s);
-        report.stages.push(StageReport {
-            name: "gradient".into(),
-            wall_seconds: grad_s,
-            work: result.work_grad,
-        });
-        report
-    }
-
-    fn gradient_with_plan_timed(
-        &self,
-        plan: &InteractionPlan,
-        p: &GbParams,
-        scratch: &mut SolveScratch,
-    ) -> Result<(GradResult, f64, f64, f64), GradientError> {
-        let (solve, born_s, epol_s) = self.solve_with_plan_timed(plan, p, scratch)?;
-        let t2 = std::time::Instant::now();
-        let born_slot = self.born_by_slot(&solve.born);
-        let inv_born: Vec<f64> = born_slot.iter().map(|&r| 1.0 / r).collect();
-        let n = self.n_atoms();
-        let (mut gx, mut gy, mut gz) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
-        let mut work_grad = WorkCounts::ZERO;
-        plan.execute_gradient_segment(
-            &self.tree_a,
-            &born_slot,
-            &inv_born,
-            p.math,
-            p.kernel,
-            tau(p.eps_solvent),
-            0..self.tree_a.leaves().len(),
-            0,
-            &mut gx,
-            &mut gy,
-            &mut gz,
-            &mut work_grad,
-        )?;
-        let mut grad = vec![Vec3::ZERO; n];
-        for slot in 0..n {
-            grad[self.tree_a.order()[slot] as usize] = Vec3::new(gx[slot], gy[slot], gz[slot]);
-        }
-        let grad_s = t2.elapsed().as_secs_f64();
-        Ok((
-            GradResult {
-                grad,
-                epol_kcal: solve.epol_kcal,
-                born: solve.born,
-                work_born: solve.work_born,
-                work_epol: solve.work_epol,
-                work_grad,
-            },
-            born_s,
-            epol_s,
-            grad_s,
-        ))
+        Ok(self.gradient_exec(plan, p, 1)?.0)
     }
 
     /// Parallel plan-path gradient (mode `"plan_gradient_parallel"`):
@@ -846,272 +674,80 @@ impl GbSolver {
     /// radii the gradient stage is **bitwise identical** for any worker
     /// count or steal schedule. End-to-end output tracks the serial
     /// path at ulp grade only, because the parallel Born stage
-    /// re-associates per-chunk partials.
+    /// re-associates per-chunk partials. The report's steal section
+    /// covers all four task batches (integrals, push, energy, gradient).
     pub fn gradient_with_plan_parallel_report(
         &self,
         plan: &InteractionPlan,
         p: &GbParams,
         n_workers: usize,
     ) -> Result<(GradResult, SolveReport), GradientError> {
-        let (solve, mut report) = self.solve_with_plan_parallel_report(plan, p, n_workers)?;
-        let n_workers = n_workers.max(1);
-        let t2 = std::time::Instant::now();
-        let born_slot = self.born_by_slot(&solve.born);
-        let born_slot = &born_slot;
-        let inv_born: Vec<f64> = born_slot.iter().map(|&r| 1.0 / r).collect();
-        let inv_born = &inv_born;
-        let tree = &self.tree_a;
-        let leaves = tree.leaves();
-        let p = *p;
-        let segs = even_segments(leaves.len(), n_workers * 8);
-        let tasks: Vec<_> = segs
-            .into_iter()
-            .filter(|r| !r.is_empty())
-            .map(|r| {
-                move || {
-                    // Leaves are Morton-ordered, so a leaf range's target
-                    // slots form one contiguous span.
-                    let lo = tree.node(leaves[r.start]).start as usize;
-                    let hi = tree.node(leaves[r.end - 1]).end as usize;
-                    let mut counts = WorkCounts::ZERO;
-                    let (mut gx, mut gy, mut gz) =
-                        (vec![0.0; hi - lo], vec![0.0; hi - lo], vec![0.0; hi - lo]);
-                    let res = plan.execute_gradient_segment(
-                        tree,
-                        born_slot,
-                        inv_born,
-                        p.math,
-                        p.kernel,
-                        tau(p.eps_solvent),
-                        r,
-                        lo,
-                        &mut gx,
-                        &mut gy,
-                        &mut gz,
-                        &mut counts,
-                    );
-                    (lo, gx, gy, gz, counts, res)
-                }
-            })
-            .collect();
-        let (parts, steal_grad) = polar_runtime::run_batch(n_workers, tasks);
-        let n = self.n_atoms();
-        let mut grad = vec![Vec3::ZERO; n];
-        let mut work_grad = WorkCounts::ZERO;
-        for (lo, gx, gy, gz, counts, res) in parts {
-            res?;
-            work_grad.accumulate(counts);
-            for k in 0..gx.len() {
-                grad[self.tree_a.order()[lo + k] as usize] = Vec3::new(gx[k], gy[k], gz[k]);
-            }
-        }
-        let grad_s = t2.elapsed().as_secs_f64();
-        let result = GradResult {
-            grad,
-            epol_kcal: solve.epol_kcal,
-            born: solve.born,
-            work_born: solve.work_born,
-            work_epol: solve.work_epol,
-            work_grad,
-        };
-        report.mode = "plan_gradient_parallel".into();
-        report.stages.push(StageReport {
-            name: "gradient".into(),
-            wall_seconds: grad_s,
-            work: work_grad,
-        });
-        if let Some(s) = &mut report.steal {
-            let extra = StealReport::from(&steal_grad);
-            s.total_executed += extra.total_executed;
-            s.total_steals += extra.total_steals;
-        }
+        let (result, timing) = self.gradient_exec(plan, p, n_workers)?;
+        let report = self.gradient_report(plan, p, &result, &timing);
         Ok((result, report))
     }
 
-    // ---------------------------------------------------------------
-    // Shared-memory parallel solver (OCT_CILK)
-    // ---------------------------------------------------------------
-
-    /// Born radii on rayon's work-stealing pool: q-leaf tasks are stolen
-    /// dynamically (the paper's implicit dynamic load balancing), partial
-    /// accumulators combine additively.
-    pub fn born_radii_parallel(&self, p: &GbParams) -> Vec<f64> {
-        let ctx = self.born_ctx();
-        let n_leaves = self.tree_q.leaves().len();
-        if n_leaves == 0 {
-            return vec![crate::constants::BORN_RADIUS_MAX; self.n_atoms()];
-        }
-        // Chunk leaves so each task amortizes its accumulator allocation.
-        let chunk = (n_leaves / (rayon::current_num_threads() * 8)).max(1);
-        let starts: Vec<usize> = (0..n_leaves).step_by(chunk).collect();
-        let totals = starts
-            .into_par_iter()
-            .map(|s| {
-                let mut counts = WorkCounts::ZERO;
-                approx_integrals(&ctx, p.eps_born, s..(s + chunk).min(n_leaves), &mut counts)
-            })
-            .reduce_with(|mut a, b| {
-                a.add(&b);
-                a
-            })
-            .unwrap_or_else(|| BornPartials::zeros(&self.tree_a));
-        // Parallel push: each atom segment fills a buffer sized for the
-        // segment alone (a full n_atoms buffer per task would make the
-        // push stage O(n_atoms · tasks) in allocation and zeroing).
-        let segs = even_segments(self.n_atoms(), rayon::current_num_threads().max(1) * 4);
-        let mut born = vec![0.0; self.n_atoms()];
-        let pieces: Vec<Vec<f64>> = segs
-            .par_iter()
-            .map(|r| {
-                let mut out = vec![0.0; r.len()];
-                push_integrals_to_atoms_slots(&ctx, &totals, r.clone(), p.math, &mut out);
-                out
-            })
-            .collect();
-        // Scatter: each slot range writes a disjoint set of original ids.
-        for (seg, piece) in segs.iter().zip(&pieces) {
-            for (k, slot) in seg.clone().enumerate() {
-                let orig = self.tree_a.order()[slot] as usize;
-                born[orig] = piece[k];
-            }
-        }
-        born
-    }
-
-    /// E_pol on rayon: one task per leaf segment, summed.
-    pub fn epol_parallel(&self, born: &[f64], p: &GbParams) -> f64 {
-        let ctx = EpolCtx::new(&self.tree_a, &self.charges, born, p.eps_epol);
-        let n_leaves = self.tree_a.leaves().len();
-        let segs = even_segments(n_leaves, (rayon::current_num_threads() * 8).max(1));
-        segs.into_par_iter()
-            .map(|r| {
-                let mut counts = WorkCounts::ZERO;
-                epol_for_leaf_segment(&ctx, p.eps_epol, p.math, tau(p.eps_solvent), r, &mut counts)
-            })
-            .sum()
-    }
-
-    /// Full shared-memory parallel solve (`OCT_CILK`) on the
-    /// work-stealing pool, sized to the machine.
-    pub fn solve_parallel(&self, p: &GbParams) -> GbResult {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        self.solve_parallel_with_report(p, workers).0
-    }
-
-    /// Work-stealing parallel solve (`OCT_CILK` on `polar_runtime`'s
-    /// cilk-style pool) plus a [`SolveReport`] with real per-stage
-    /// [`WorkCounts`] and merged scheduler counters from all three task
-    /// batches (integrals, push, energy).
-    ///
-    /// The stage work totals are schedule-independent: they equal the
-    /// serial solve's exactly, whatever the steal pattern was.
-    pub fn solve_parallel_with_report(
+    /// The solve pipeline followed by the gradient stage, all on
+    /// `workers` workers; the timing's steal counters merge all four
+    /// task batches.
+    pub(crate) fn gradient_exec(
         &self,
+        plan: &InteractionPlan,
         p: &GbParams,
-        n_workers: usize,
-    ) -> (GbResult, SolveReport) {
-        let p = *p;
-        let n_workers = n_workers.max(1);
-        let ctx = self.born_ctx();
-        let ctx = &ctx;
+        workers: usize,
+    ) -> Result<(GradResult, SolveTiming), GradientError> {
+        plan.check_compatible(self, p)?;
+        let mut scratch = SolveScratch::new();
+        let (solve, mut timing) = self.solve_exec(Traversal::Plan(plan), p, workers, &mut scratch);
+        let t2 = std::time::Instant::now();
+        let born_slot = &scratch.born_slot;
+        let inv_born: Vec<f64> = born_slot.iter().map(|&r| 1.0 / r).collect();
+        let mut grad = vec![Vec3::ZERO; self.n_atoms()];
+        let stage = StageExec::new(self, p, Traversal::Plan(plan), workers).gradient(
+            born_slot,
+            &inv_born,
+            0..self.tree_a.leaves().len(),
+            &mut grad,
+        )?;
+        timing.steal.merge(&stage.steal);
+        timing.grad_s = t2.elapsed().as_secs_f64();
+        Ok((
+            GradResult {
+                grad,
+                epol_kcal: solve.epol_kcal,
+                born: solve.born,
+                work_born: solve.work_born,
+                work_epol: solve.work_epol,
+                work_grad: stage.work,
+            },
+            timing,
+        ))
+    }
 
-        // Stage 1a: APPROX-INTEGRALS over chunks of T_Q leaves.
-        let t0 = std::time::Instant::now();
-        let n_qleaves = self.tree_q.leaves().len();
-        let chunk = (n_qleaves / (n_workers * 8)).max(1);
-        let tasks: Vec<_> = (0..n_qleaves)
-            .step_by(chunk)
-            .map(|s| {
-                move || {
-                    let mut counts = WorkCounts::ZERO;
-                    let totals = approx_integrals(
-                        ctx,
-                        p.eps_born,
-                        s..(s + chunk).min(n_qleaves),
-                        &mut counts,
-                    );
-                    (totals, counts)
-                }
-            })
-            .collect();
-        let (parts, steal_integrals) = polar_runtime::run_batch(n_workers, tasks);
-        let mut work_born = WorkCounts::ZERO;
-        let mut totals = BornPartials::zeros(&self.tree_a);
-        for (part, counts) in parts {
-            totals.add(&part);
-            work_born.accumulate(counts);
-        }
-        let totals = &totals;
-
-        // Stage 1b: PUSH-INTEGRALS-TO-ATOMS over slot segments, each task
-        // writing a buffer sized for its own segment.
-        let segs = even_segments(self.n_atoms(), n_workers * 4);
-        let push_tasks: Vec<_> = segs
-            .iter()
-            .cloned()
-            .map(|r| {
-                move || {
-                    let mut out = vec![0.0; r.len()];
-                    push_integrals_to_atoms_slots(ctx, totals, r.clone(), p.math, &mut out);
-                    out
-                }
-            })
-            .collect();
-        let (pieces, steal_push) = polar_runtime::run_batch(n_workers, push_tasks);
-        let mut born = vec![0.0; self.n_atoms()];
-        for (seg, piece) in segs.iter().zip(&pieces) {
-            for (k, slot) in seg.clone().enumerate() {
-                born[self.tree_a.order()[slot] as usize] = piece[k];
-            }
-        }
-        let born_s = t0.elapsed().as_secs_f64();
-
-        // Stage 2: APPROX-EPOL over segments of T_A leaves.
-        let t1 = std::time::Instant::now();
-        let ectx = EpolCtx::new(&self.tree_a, &self.charges, &born, p.eps_epol);
-        let ectx = &ectx;
-        let esegs = even_segments(self.tree_a.leaves().len(), n_workers * 8);
-        let etasks: Vec<_> = esegs
-            .into_iter()
-            .map(|r| {
-                move || {
-                    let mut counts = WorkCounts::ZERO;
-                    let e = epol_for_leaf_segment(
-                        ectx,
-                        p.eps_epol,
-                        p.math,
-                        tau(p.eps_solvent),
-                        r,
-                        &mut counts,
-                    );
-                    (e, counts)
-                }
-            })
-            .collect();
-        let (eparts, steal_epol) = polar_runtime::run_batch(n_workers, etasks);
-        let mut work_epol = WorkCounts::ZERO;
-        let mut epol_kcal = 0.0;
-        for (e, counts) in eparts {
-            epol_kcal += e;
-            work_epol.accumulate(counts);
-        }
-        let epol_s = t1.elapsed().as_secs_f64();
-
-        let mut steal = steal_integrals;
-        steal.merge(&steal_push);
-        steal.merge(&steal_epol);
-
-        let result = GbResult {
-            born,
-            epol_kcal,
-            work_born,
-            work_epol,
+    /// The `"plan_gradient_parallel"` report: solve stages plus a third
+    /// `"gradient"` row, the merged steal counters and the plan's stats.
+    fn gradient_report(
+        &self,
+        plan: &InteractionPlan,
+        p: &GbParams,
+        result: &GradResult,
+        timing: &SolveTiming,
+    ) -> SolveReport {
+        let proxy = GbResult {
+            born: Vec::new(),
+            epol_kcal: result.epol_kcal,
+            work_born: result.work_born,
+            work_epol: result.work_epol,
         };
-        let mut report = self.base_report("parallel", &p, &result, born_s, epol_s);
-        report.steal = Some(StealReport::from(&steal));
-        (result, report)
+        let mut report = self.base_report("plan_gradient_parallel", p, &proxy, timing);
+        report.stages.push(StageReport {
+            name: "gradient".into(),
+            wall_seconds: timing.grad_s,
+            work: result.work_grad,
+        });
+        report.steal = Some(StealReport::from(&timing.steal));
+        report.plan = Some(plan.stats());
+        report
     }
 
     // ---------------------------------------------------------------
@@ -1215,7 +851,7 @@ mod tests {
         let s = solver(300, 3);
         let p = GbParams::default();
         let serial = s.solve(&p);
-        let par = s.solve_parallel(&p);
+        let (par, _) = s.solve_parallel_with_report(&p, 3);
         for (a, b) in serial.born.iter().zip(&par.born) {
             assert!((a - b).abs() <= 1e-9 * a.abs().max(1.0), "{a} vs {b}");
         }
@@ -1249,6 +885,36 @@ mod tests {
             .steal
             .expect("parallel report carries steal stats");
         assert!(steal.total_executed > 0);
+    }
+
+    #[test]
+    fn parallel_gradient_steal_section_covers_all_four_batches() {
+        use crate::exec::{task_ranges, Stage};
+        let s = solver(300, 9);
+        let p = GbParams::default();
+        let plan = s.plan(&p);
+        let workers = 3;
+        let (result, timing) = s.gradient_exec(&plan, &p, workers).unwrap();
+        let report = s.gradient_report(&plan, &p, &result, &timing);
+        assert_eq!(report.steal, Some(StealReport::from(&timing.steal)));
+        // The merged counters span the same workers and every task of the
+        // integrals, push, energy and gradient batches.
+        let tasks = |stage, n| task_ranges(stage, n, workers).len() as u64;
+        let (n_q, n_a) = (s.tree_q.leaves().len(), s.tree_a.leaves().len());
+        assert_eq!(timing.steal.executed.len(), workers);
+        assert_eq!(
+            timing.steal.total_executed(),
+            tasks(Stage::Born, n_q)
+                + tasks(Stage::Push, s.n_atoms())
+                + tasks(Stage::Epol, n_a)
+                + tasks(Stage::Gradient, n_a)
+        );
+        let (_, public) = s
+            .gradient_with_plan_parallel_report(&plan, &p, workers)
+            .unwrap();
+        let steal = public.steal.expect("parallel gradient reports steals");
+        assert_eq!(steal.workers, workers);
+        assert_eq!(steal.total_executed, timing.steal.total_executed());
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! The distributed GB drivers — the paper's Fig. 4 algorithm.
 //!
 //! `OCT_MPI` is `P` ranks × 1 thread; `OCT_MPI+CILK` is `P` ranks × `p`
-//! work-stealing threads ([`polar_runtime::run_batch`]). Steps follow
-//! Fig. 4 exactly:
+//! work-stealing threads. Each rank runs its segments through
+//! [`polar_gb::exec::StageExec`], the executor the shared-memory solver
+//! uses, so one rank of `p` threads splits its work exactly as
+//! `OCT_CILK` on `p` workers does. Steps follow Fig. 4 exactly:
 //!
 //! 1. every rank holds the full octrees (replicated data; memory is
 //!    accounted per rank),
@@ -18,9 +20,9 @@
 
 use crate::comm::Universe;
 use crate::network::NetworkModel;
-use polar_gb::born::octree::{approx_integrals, push_integrals_to_atoms, BornPartials};
-use polar_gb::constants::tau;
-use polar_gb::energy::octree::{epol_for_leaf_segment, EpolCtx};
+use polar_gb::born::octree::BornPartials;
+use polar_gb::energy::octree::EpolCtx;
+use polar_gb::exec::{StageExec, Traversal};
 use polar_gb::partition::even_segments;
 use polar_gb::report::{
     CommReport, PlanReport, SolveReport, StageReport, StealReport, TreeDepthStats,
@@ -206,6 +208,8 @@ pub fn run_distributed(solver: &GbSolver, cfg: &DistributedConfig) -> Distribute
         steal: Option<StealStats>,
     }
 
+    let traversal = plan.map_or(Traversal::Recursive, Traversal::Plan);
+
     let outs = Universe::run(cfg.ranks, cfg.network, |comm| {
         let rank = comm.rank();
         // Step 1: replicated data (each process has a complete copy;
@@ -213,74 +217,15 @@ pub fn run_distributed(solver: &GbSolver, cfg: &DistributedConfig) -> Distribute
         comm.register_replicated_memory(
             solver.memory_bytes() + plan.map_or(0, |pl| pl.memory_bytes()),
         );
-        let ctx = solver.born_ctx();
-        let mut work = WorkCounts::ZERO;
-        let mut steal: Option<StealStats> = None;
+        // Every stage runs on this rank's pool of `threads_per_rank`
+        // workers (inline for `OCT_MPI`).
+        let exec = StageExec::new(solver, &p, traversal, cfg.threads_per_rank);
 
-        // Step 2: APPROX-INTEGRALS over this rank's q-leaf segment —
-        // either the recursive traversal or the plan's flat lists.
+        // Step 2: APPROX-INTEGRALS over this rank's q-leaf segment.
         let t_born = std::time::Instant::now();
-        let my_qleaves = qleaf_segs[rank].clone();
-        let mut partials = if let Some(pl) = plan {
-            if cfg.threads_per_rank == 1 {
-                let mut part = BornPartials::zeros(&solver.tree_a);
-                pl.execute_born_segment(&ctx, my_qleaves, p.kernel, &mut part, &mut work);
-                part
-            } else {
-                let chunks = even_segments(my_qleaves.len(), cfg.threads_per_rank * 4)
-                    .into_iter()
-                    .map(|r| my_qleaves.start + r.start..my_qleaves.start + r.end)
-                    .collect::<Vec<_>>();
-                let ctx_ref = &ctx;
-                let tasks: Vec<_> = chunks
-                    .into_iter()
-                    .map(|r| {
-                        move || {
-                            let mut w = WorkCounts::ZERO;
-                            let mut part = BornPartials::zeros(ctx_ref.tree_a);
-                            pl.execute_born_segment(ctx_ref, r, p.kernel, &mut part, &mut w);
-                            (part, w)
-                        }
-                    })
-                    .collect();
-                let (results, stats) = polar_runtime::run_batch(cfg.threads_per_rank, tasks);
-                steal.get_or_insert_with(StealStats::default).merge(&stats);
-                let mut acc = BornPartials::zeros(&solver.tree_a);
-                for (part, w) in results {
-                    acc.add(&part);
-                    work.accumulate(w);
-                }
-                acc
-            }
-        } else if cfg.threads_per_rank == 1 {
-            approx_integrals(&ctx, p.eps_born, my_qleaves, &mut work)
-        } else {
-            // Intra-rank dynamic balancing: split the segment into many
-            // chunks, run them on the work-stealing pool, merge.
-            let chunks = even_segments(my_qleaves.len(), cfg.threads_per_rank * 4)
-                .into_iter()
-                .map(|r| my_qleaves.start + r.start..my_qleaves.start + r.end)
-                .collect::<Vec<_>>();
-            let ctx_ref = &ctx;
-            let tasks: Vec<_> = chunks
-                .into_iter()
-                .map(|r| {
-                    move || {
-                        let mut w = WorkCounts::ZERO;
-                        let part = approx_integrals(ctx_ref, p.eps_born, r, &mut w);
-                        (part, w)
-                    }
-                })
-                .collect();
-            let (results, stats) = polar_runtime::run_batch(cfg.threads_per_rank, tasks);
-            steal.get_or_insert_with(StealStats::default).merge(&stats);
-            let mut acc = BornPartials::zeros(&solver.tree_a);
-            for (part, w) in results {
-                acc.add(&part);
-                work.accumulate(w);
-            }
-            acc
-        };
+        let mut partials = BornPartials::zeros(&solver.tree_a);
+        let born_stage = exec.born_integrals(qleaf_segs[rank].clone(), &mut partials);
+        let mut steal = born_stage.steal;
 
         // Step 3: Allreduce the partial integrals.
         let n_nodes = partials.s_node.len();
@@ -296,12 +241,11 @@ pub fn run_distributed(solver: &GbSolver, cfg: &DistributedConfig) -> Distribute
         // Step 4: PUSH-INTEGRALS-TO-ATOMS for this rank's atom segment.
         let my_atoms = atom_segs[rank].clone();
         let mut born_mine = vec![0.0; n_atoms];
-        push_integrals_to_atoms(&ctx, &totals, my_atoms.clone(), p.math, &mut born_mine);
+        steal.merge(&exec.push(&totals, my_atoms.clone(), &mut born_mine));
 
         // Step 5: allgather Born radius segments (slot order on the wire,
         // original order in memory).
         let seg_vals: Vec<f64> = my_atoms
-            .clone()
             .map(|slot| born_mine[solver.tree_a.order()[slot] as usize])
             .collect();
         let all_slot_vals = comm.allgather(&seg_vals);
@@ -310,88 +254,14 @@ pub fn run_distributed(solver: &GbSolver, cfg: &DistributedConfig) -> Distribute
         for (slot, v) in all_slot_vals.into_iter().enumerate() {
             born[solver.tree_a.order()[slot] as usize] = v;
         }
-        let work_born = work;
         let born_s = t_born.elapsed().as_secs_f64();
 
         // Step 6: energy over this rank's T_A leaf segment.
         let t_epol = std::time::Instant::now();
         let ectx = EpolCtx::new(&solver.tree_a, &solver.charges, &born, p.eps_epol);
-        let t = tau(p.eps_solvent);
-        let my_aleaves = aleaf_segs[rank].clone();
-        let mut work_epol = WorkCounts::ZERO;
-        let epol_part = if let Some(pl) = plan {
-            let born_slot = solver.born_by_slot(&born);
-            if cfg.threads_per_rank == 1 {
-                pl.execute_epol_segment(
-                    &ectx,
-                    &born_slot,
-                    p.math,
-                    p.kernel,
-                    t,
-                    my_aleaves,
-                    &mut work_epol,
-                )
-            } else {
-                let chunks = even_segments(my_aleaves.len(), cfg.threads_per_rank * 4)
-                    .into_iter()
-                    .map(|r| my_aleaves.start + r.start..my_aleaves.start + r.end)
-                    .collect::<Vec<_>>();
-                let ectx_ref = &ectx;
-                let born_slot_ref = &born_slot;
-                let tasks: Vec<_> = chunks
-                    .into_iter()
-                    .map(|r| {
-                        move || {
-                            let mut w = WorkCounts::ZERO;
-                            let e = pl.execute_epol_segment(
-                                ectx_ref,
-                                born_slot_ref,
-                                p.math,
-                                p.kernel,
-                                t,
-                                r,
-                                &mut w,
-                            );
-                            (e, w)
-                        }
-                    })
-                    .collect();
-                let (results, stats) = polar_runtime::run_batch(cfg.threads_per_rank, tasks);
-                steal.get_or_insert_with(StealStats::default).merge(&stats);
-                let mut e = 0.0;
-                for (part, w) in results {
-                    e += part;
-                    work_epol.accumulate(w);
-                }
-                e
-            }
-        } else if cfg.threads_per_rank == 1 {
-            epol_for_leaf_segment(&ectx, p.eps_epol, p.math, t, my_aleaves, &mut work_epol)
-        } else {
-            let chunks = even_segments(my_aleaves.len(), cfg.threads_per_rank * 4)
-                .into_iter()
-                .map(|r| my_aleaves.start + r.start..my_aleaves.start + r.end)
-                .collect::<Vec<_>>();
-            let ectx_ref = &ectx;
-            let tasks: Vec<_> = chunks
-                .into_iter()
-                .map(|r| {
-                    move || {
-                        let mut w = WorkCounts::ZERO;
-                        let e = epol_for_leaf_segment(ectx_ref, p.eps_epol, p.math, t, r, &mut w);
-                        (e, w)
-                    }
-                })
-                .collect();
-            let (results, stats) = polar_runtime::run_batch(cfg.threads_per_rank, tasks);
-            steal.get_or_insert_with(StealStats::default).merge(&stats);
-            let mut e = 0.0;
-            for (part, w) in results {
-                e += part;
-                work_epol.accumulate(w);
-            }
-            e
-        };
+        let born_slot = solver.born_by_slot(&born);
+        let (epol_part, epol_stage) = exec.epol(&ectx, &born_slot, aleaf_segs[rank].clone());
+        steal.merge(&epol_stage.steal);
         let epol_s = t_epol.elapsed().as_secs_f64();
 
         // Step 7: accumulate the final energy.
@@ -402,12 +272,13 @@ pub fn run_distributed(solver: &GbSolver, cfg: &DistributedConfig) -> Distribute
             born,
             comm_s: comm.sim_comm_seconds(),
             bytes: comm.bytes_sent(),
-            work_born,
-            work_epol,
+            work_born: born_stage.work,
+            work_epol: epol_stage.work,
             replicated: comm.replicated_bytes(),
             born_s,
             epol_s,
-            steal,
+            // Pure OCT_MPI runs no pool.
+            steal: (cfg.threads_per_rank > 1).then_some(steal),
         }
     });
 
@@ -590,6 +461,26 @@ mod tests {
             assert_eq!(rep.kernel_mode, "strict");
             assert_eq!(rep.to_csv_row().split(',').count(), 42);
         }
+        // One rank of p threads splits its segments exactly as OCT_CILK
+        // on p workers does: same bits, same stage work.
+        for threads in [2, 3] {
+            let (par, par_rep) = s.solve_parallel_with_report(&p, threads);
+            let cfg = DistributedConfig::oct_mpi_cilk(1, threads, p);
+            let run = run_distributed(&s, &cfg);
+            let rep = run.report(&s, &cfg);
+            assert_eq!(
+                run.epol_kcal.to_bits(),
+                par.epol_kcal.to_bits(),
+                "p={threads}"
+            );
+            assert!(bits_equal(&run.born, &par.born), "p={threads}");
+            assert_eq!(rep.stage("born").work, par_rep.stage("born").work);
+            assert_eq!(rep.stage("epol").work, par_rep.stage("epol").work);
+        }
+    }
+
+    fn bits_equal(a: &[f64], b: &[f64]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
     }
 
     #[test]
@@ -640,6 +531,26 @@ mod tests {
             assert_eq!(run.total_work_born().nodes_visited, 0);
             assert_eq!(rep.kernel_mode, "strict");
             assert_eq!(rep.to_csv_row().split(',').count(), 42);
+        }
+        // One rank of p threads executes the plan exactly as the plan
+        // solver on p workers, in both kernel modes.
+        for kernel in [polar_gb::KernelMode::Strict, polar_gb::KernelMode::Lane] {
+            let p = GbParams { kernel, ..p };
+            let plan = s.plan(&p);
+            for threads in [2, 3] {
+                let (par, par_rep) = s
+                    .solve_with_plan_parallel_report(&plan, &p, threads)
+                    .unwrap();
+                let mut cfg = DistributedConfig::oct_mpi_cilk(1, threads, p);
+                cfg.use_plan = true;
+                let run = run_distributed(&s, &cfg);
+                let rep = run.report(&s, &cfg);
+                let what = format!("{kernel:?} p={threads}");
+                assert_eq!(run.epol_kcal.to_bits(), par.epol_kcal.to_bits(), "{what}");
+                assert!(bits_equal(&run.born, &par.born), "{what}");
+                assert_eq!(rep.stage("born").work, par_rep.stage("born").work, "{what}");
+                assert_eq!(rep.stage("epol").work, par_rep.stage("epol").work, "{what}");
+            }
         }
     }
 

@@ -29,9 +29,9 @@
 use crate::comm::{Comm, CommError, Universe};
 use crate::drivers::DistributedConfig;
 use crate::faults::FaultSpec;
-use polar_gb::born::octree::{approx_integrals, push_integrals_to_atoms, BornPartials};
-use polar_gb::constants::tau;
-use polar_gb::energy::octree::{epol_for_leaf_segment, EpolCtx};
+use polar_gb::born::octree::{push_integrals_to_atoms, BornPartials};
+use polar_gb::energy::octree::EpolCtx;
+use polar_gb::exec::{task_ranges, Stage, StageExec, Traversal};
 use polar_gb::partition::even_segments;
 use polar_gb::report::{
     CommReport, FaultEvent, FaultReport, PlanReport, SolveReport, StageReport, StealReport,
@@ -256,35 +256,31 @@ where
 
 /// Does the spec poison a task of (rank, stage)? Returns the poisoned
 /// task index (pre-modulo) and how many attempts panic.
-fn poison_for(spec: &FaultSpec, rank: usize, stage: &str) -> Option<(usize, u32)> {
+fn poison_for(spec: &FaultSpec, rank: usize, stage: Stage) -> Option<(usize, u32)> {
     spec.worker_panics
         .iter()
-        .find(|w| w.rank == rank && w.stage == stage)
+        .find(|w| w.rank == rank && w.stage == stage.name())
         .map(|w| (w.task_index, w.panics))
 }
 
-/// Split an item list into pool chunks: the plain driver's `threads × 4`
-/// chunking, or a single chunk on the serial path — unless a panic is
-/// scheduled there, in which case the list is still chunked so the
-/// poisoned task is a proper retry unit.
+/// Split an item list into pool chunks: the executor's task split for
+/// `threads` workers (the plain driver's chunking), or a single chunk on
+/// the serial path — unless a panic is scheduled there, in which case
+/// the list is still cut in four so the poisoned task is a proper retry
+/// unit.
 fn chunk_items(
     spec: &FaultSpec,
     rank: usize,
     threads: usize,
-    stage: &str,
+    stage: Stage,
     items: &[usize],
 ) -> Vec<Vec<usize>> {
-    let n_chunks = if threads > 1 {
-        threads * 4
-    } else if poison_for(spec, rank, stage).is_some() {
-        4
+    let ranges = if threads == 1 && poison_for(spec, rank, stage).is_some() {
+        even_segments(items.len(), 4.min(items.len()).max(1))
     } else {
-        1
+        task_ranges(stage, items.len(), threads)
     };
-    even_segments(items.len(), n_chunks.min(items.len()).max(1))
-        .into_iter()
-        .map(|r| items[r].to_vec())
-        .collect()
+    ranges.into_iter().map(|r| items[r].to_vec()).collect()
 }
 
 /// Run `eval` over chunks on the panic-isolated pool. Scheduled panics
@@ -294,7 +290,7 @@ fn chunk_items(
 fn pooled(
     spec: &FaultSpec,
     threads: usize,
-    stage: &str,
+    stage: Stage,
     comm: &mut Comm,
     chunks: Vec<Vec<usize>>,
     eval: &(dyn Fn(&[usize], &mut WorkCounts) -> Vec<f64> + Sync),
@@ -335,7 +331,8 @@ fn pooled(
                         rank,
                         peer: None,
                         detail: format!(
-                            "stage {stage} task {idx} panicked {attempts}×, recovered by retry"
+                            "stage {} task {idx} panicked {attempts}×, recovered by retry",
+                            stage.name()
                         ),
                     });
                 }
@@ -345,7 +342,8 @@ fn pooled(
         Err(e) => {
             *worker_retries += u64::from(e.attempts.saturating_sub(1));
             Err(comm.ft_abort(&format!(
-                "worker pool exhausted its retry budget in stage {stage}: {e}"
+                "worker pool exhausted its retry budget in stage {}: {e}",
+                stage.name()
             )))
         }
     }
@@ -399,6 +397,7 @@ pub fn run_distributed_ft(
     let atom_segs = even_segments(n_atoms, cfg.ranks);
     let aleaf_segs = even_segments(n_aleaves, cfg.ranks);
     let threads = cfg.threads_per_rank;
+    let traversal = plan.map_or(Traversal::Recursive, Traversal::Plan);
 
     let outs: Vec<RankFtOut> = Universe::run(cfg.ranks, cfg.network, |comm| {
         let rank = comm.rank();
@@ -407,6 +406,7 @@ pub fn run_distributed_ft(
             solver.memory_bytes() + plan.map_or(0, |pl| pl.memory_bytes()),
         );
         let ctx = solver.born_ctx();
+        let exec = StageExec::new(solver, &p, traversal, threads);
         let mut steal: Option<StealStats> = None;
         let mut driver_events: Vec<FaultEvent> = Vec::new();
         let mut worker_retries = 0u64;
@@ -423,12 +423,7 @@ pub fn run_distributed_ft(
             let eval_born = |items: &[usize], w: &mut WorkCounts| -> Vec<f64> {
                 let mut part = BornPartials::zeros(&solver.tree_a);
                 for run in contiguous_runs(items) {
-                    if let Some(pl) = plan {
-                        pl.execute_born_segment(&ctx, run, p.kernel, &mut part, w);
-                    } else {
-                        let piece = approx_integrals(&ctx, p.eps_born, run, w);
-                        part.add(&piece);
-                    }
+                    exec.born_task(run, &mut part, w);
                 }
                 let mut flat = part.s_node;
                 flat.extend_from_slice(&part.s_atom);
@@ -439,11 +434,11 @@ pub fn run_distributed_ft(
                 &qleaf_segs,
                 &mut known_dead,
                 |comm, items| {
-                    let chunks = chunk_items(spec, rank, threads, "born", items);
+                    let chunks = chunk_items(spec, rank, threads, Stage::Born, items);
                     let parts = pooled(
                         spec,
                         threads,
-                        "born",
+                        Stage::Born,
                         comm,
                         chunks,
                         &eval_born,
@@ -519,25 +514,12 @@ pub fn run_distributed_ft(
             let t_epol = std::time::Instant::now();
             let mut work_epol = WorkCounts::ZERO;
             let ectx = EpolCtx::new(&solver.tree_a, &solver.charges, &born, p.eps_epol);
-            let t = tau(p.eps_solvent);
-            let born_slot = plan.map(|_| solver.born_by_slot(&born));
+            let born_slot = solver.born_by_slot(&born);
             let mut epol = 0.0f64;
             let eval_epol = |items: &[usize], w: &mut WorkCounts| -> Vec<f64> {
                 let mut e = 0.0;
                 for run in contiguous_runs(items) {
-                    e += if let Some(pl) = plan {
-                        pl.execute_epol_segment(
-                            &ectx,
-                            born_slot.as_ref().expect("plan implies slot radii"),
-                            p.math,
-                            p.kernel,
-                            t,
-                            run,
-                            w,
-                        )
-                    } else {
-                        epol_for_leaf_segment(&ectx, p.eps_epol, p.math, t, run, w)
-                    };
+                    e += exec.epol_task(&ectx, &born_slot, run, w);
                 }
                 vec![e]
             };
@@ -546,11 +528,11 @@ pub fn run_distributed_ft(
                 &aleaf_segs,
                 &mut known_dead,
                 |comm, items| {
-                    let chunks = chunk_items(spec, rank, threads, "epol", items);
+                    let chunks = chunk_items(spec, rank, threads, Stage::Epol, items);
                     let parts = pooled(
                         spec,
                         threads,
-                        "epol",
+                        Stage::Epol,
                         comm,
                         chunks,
                         &eval_epol,
@@ -734,26 +716,29 @@ mod tests {
     fn fault_free_ft_run_equals_the_plain_distributed_driver() {
         let s = solver(260, 31);
         let p = GbParams::default();
-        let cfg = DistributedConfig::oct_mpi(3, p);
-        let plain = run_distributed(&s, &cfg);
-        let ft = run_distributed_ft(&s, &cfg, &FaultSpec::none()).expect("no faults injected");
-        // Same division, same accumulation order: exactly equal, not
-        // merely within tolerance.
-        assert_eq!(ft.epol_kcal, plain.epol_kcal);
-        assert_eq!(ft.born, plain.born);
-        assert_eq!(ft.survivors, vec![0, 1, 2]);
-        let f = &ft.fault;
-        assert_eq!(
-            (
-                f.crashes,
-                f.drops,
-                f.msg_retries,
-                f.worker_retries,
-                f.redivisions
-            ),
-            (0, 0, 0, 0, 0)
-        );
-        assert!(f.events.is_empty(), "{:?}", f.events);
+        let mut hybrid_plan = DistributedConfig::oct_mpi_cilk(3, 2, p);
+        hybrid_plan.use_plan = true;
+        for cfg in [DistributedConfig::oct_mpi(3, p), hybrid_plan] {
+            let plain = run_distributed(&s, &cfg);
+            let ft = run_distributed_ft(&s, &cfg, &FaultSpec::none()).expect("no faults injected");
+            // Same division, same task split, same accumulation order:
+            // exactly equal, not merely within tolerance.
+            assert_eq!(ft.epol_kcal, plain.epol_kcal);
+            assert_eq!(ft.born, plain.born);
+            assert_eq!(ft.survivors, vec![0, 1, 2]);
+            let f = &ft.fault;
+            assert_eq!(
+                (
+                    f.crashes,
+                    f.drops,
+                    f.msg_retries,
+                    f.worker_retries,
+                    f.redivisions
+                ),
+                (0, 0, 0, 0, 0)
+            );
+            assert!(f.events.is_empty(), "{:?}", f.events);
+        }
     }
 
     #[test]

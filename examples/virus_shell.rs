@@ -43,9 +43,10 @@ fn main() {
     );
 
     let t = Instant::now();
-    let cilk = solver.solve_parallel(&params);
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let (cilk, _) = solver.solve_parallel_with_report(&params, workers);
     println!(
-        "OCT_CILK (rayon):      E_pol = {:.4e} kcal/mol in {:.2?}",
+        "OCT_CILK ({workers} workers): E_pol = {:.4e} kcal/mol in {:.2?}",
         cilk.epol_kcal,
         t.elapsed()
     );

@@ -14,10 +14,14 @@ fn every_driver_agrees_on_the_energy() {
     let solver = prepared(400, 1);
     let params = GbParams::default();
     let serial = solver.solve(&params).epol_kcal;
-    let rayon = solver.solve_parallel(&params).epol_kcal;
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cilk = solver
+        .solve_parallel_with_report(&params, workers)
+        .0
+        .epol_kcal;
     let mpi = run_distributed(&solver, &DistributedConfig::oct_mpi(3, params)).epol_kcal;
     let hybrid = run_distributed(&solver, &DistributedConfig::oct_mpi_cilk(2, 2, params)).epol_kcal;
-    for (name, e) in [("rayon", rayon), ("mpi", mpi), ("hybrid", hybrid)] {
+    for (name, e) in [("cilk", cilk), ("mpi", mpi), ("hybrid", hybrid)] {
         assert!(
             (e - serial).abs() <= 1e-9 * serial.abs(),
             "{name} disagrees: {e} vs {serial}"
